@@ -7,12 +7,17 @@
 // semantics, where repeated questions hit the engine's verdict caches.
 // The cold/warm ratio per chain length is the figure that justifies the
 // daemon: >= 10x on repeated membership (see bench/BENCH_serving.json).
+// A repeated Warm request is answered from the workspace's answer memo;
+// the WarmMiss series varies the query's whitespace so every request
+// misses the memo and measures the path behind it — parse, Algorithm
+// 2.1.1, oracle set-up and an engine verdict-cache hit.
 //
 // BM_ServingProtocolLine measures the daemon's full per-request overhead
 // on a warm engine — JSON parse, dispatch, JSON serialize — i.e. what a
 // client actually pays per line once the engine is hot.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -75,8 +80,8 @@ BENCHMARK(BM_ServingMembershipCold)
     ->Unit(benchmark::kMillisecond);
 
 /// Daemon serving: one warm Workspace answers every request. After the
-/// first iteration the verdict is a cache hit; the cold/warm ratio at
-/// each chain length is the daemon's amortization win.
+/// first iteration the answer is an answer-memo hit; the cold/warm ratio
+/// at each chain length is the daemon's amortization win.
 void BM_ServingMembershipWarm(benchmark::State& state) {
   const std::size_t links = static_cast<std::size_t>(state.range(0));
   Workspace workspace;
@@ -91,10 +96,43 @@ void BM_ServingMembershipWarm(benchmark::State& state) {
     if (response.verdict != true) state.SkipWithError("expected member");
     benchmark::DoNotOptimize(response);
   }
-  state.counters["verdict_hits"] = static_cast<double>(
-      workspace.EngineStatsSnapshot().verdict.hits());
+  state.counters["memo_hits"] =
+      static_cast<double>(workspace.answer_memo().Stats().hits);
 }
 BENCHMARK(BM_ServingMembershipWarm)
+    ->DenseRange(2, 5)
+    ->Unit(benchmark::kMillisecond);
+
+/// Like BM_ServingMembershipWarm, but each request's query carries a
+/// different run of trailing spaces and tabs (the iteration number in
+/// binary), so it misses the answer memo and the engine's verdict cache
+/// answers. Past AnswerMemo::kMaxEntries the memo stops storing; every
+/// request still misses.
+void BM_ServingMembershipWarmMiss(benchmark::State& state) {
+  const std::size_t links = static_cast<std::size_t>(state.range(0));
+  Workspace workspace;
+  if (!workspace.Load(ChainProgram(links)).ok()) {
+    state.SkipWithError("load failed");
+    return;
+  }
+  Dispatcher dispatcher(&workspace);
+  Request request = MembershipRequest(links);
+  const std::size_t base_length = request.query.size();
+  std::uint64_t variant = 0;
+  for (auto _ : state) {
+    request.query.resize(base_length);
+    for (int bit = 0; bit < 32; ++bit) {
+      request.query += ((variant >> bit) & 1) != 0 ? '\t' : ' ';
+    }
+    ++variant;
+    Response response = dispatcher.Handle(request);
+    if (response.verdict != true) state.SkipWithError("expected member");
+    benchmark::DoNotOptimize(response);
+  }
+  state.counters["memo_hits"] =
+      static_cast<double>(workspace.answer_memo().Stats().hits);
+}
+BENCHMARK(BM_ServingMembershipWarmMiss)
     ->DenseRange(2, 5)
     ->Unit(benchmark::kMillisecond);
 

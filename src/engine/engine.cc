@@ -404,6 +404,11 @@ ThreadPool* Engine::SharedPool(std::size_t total_threads) {
   return pool_.get();
 }
 
+ThreadPool* Engine::SharedPoolIfCreated() const {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  return pool_.get();
+}
+
 EngineStats Engine::ReadStatsOnce() const {
   EngineStats stats;
   stats.reduce = {Load(reduce_requests_), Load(reduce_runs_),

@@ -519,6 +519,10 @@ class Engine {
   /// thread — and grown, never shrunk, by later calls asking for more.
   ThreadPool* SharedPool(std::size_t total_threads);
 
+  /// The shared pool if a parallel search has created it, else null;
+  /// never creates one.
+  ThreadPool* SharedPoolIfCreated() const;
+
   /// One-call consistent snapshot of the relaxed-atomic statistics: the
   /// counters are re-read until two consecutive full reads agree (bounded
   /// retries), so a quiescent engine always reports an exact, mutually
@@ -600,7 +604,7 @@ class Engine {
   std::unordered_map<std::string, std::vector<TableauId>> key_buckets_;
 
   // Lazily created parallel-search pool (SharedPool).
-  std::mutex pool_mu_;
+  mutable std::mutex pool_mu_;
   std::unique_ptr<ThreadPool> pool_;
 
   StripedMemoCache<Tableau> reduce_cache_;

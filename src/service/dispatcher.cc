@@ -1,5 +1,7 @@
 #include "service/dispatcher.h"
 
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "algebra/printer.h"
@@ -82,12 +84,107 @@ SearchLimits Dispatcher::LimitsFor(const Request& request) const {
   return limits;
 }
 
+namespace {
+
+/// The memo key of an answerable/equiv question: the method, the
+/// length-prefixed names and query text, and the limits that enter
+/// verdict keys. threads is left out: verdicts are identical at every
+/// thread count.
+std::string AnswerKey(const Request& request, const SearchLimits& limits) {
+  std::string key(RequestKindName(request.kind));
+  for (const std::string* field :
+       {&request.view, &request.other_view, &request.query}) {
+    key += '|';
+    key += std::to_string(field->size());
+    key += ':';
+    key += *field;
+  }
+  for (const std::size_t limit :
+       {limits.extra_leaves, limits.max_leaves, limits.max_candidates}) {
+    key += '|';
+    key += std::to_string(limit);
+  }
+  return key;
+}
+
+/// Requests that can change the catalog or the view map, and so clear the
+/// answer memo (kLoad clears it inside Workspace::Load).
+bool ClearsAnswerMemo(RequestKind kind) {
+  switch (kind) {
+    case RequestKind::kNonredundant:
+    case RequestKind::kSimplify:
+    case RequestKind::kCompose:
+    case RequestKind::kReport:
+    case RequestKind::kCapacity:
+    case RequestKind::kMinimize:
+    case RequestKind::kEval:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
 Response Dispatcher::Handle(const Request& request) {
   workspace_->CountRequest();
   if (request.kind == RequestKind::kLint) return HandleLint(request);
 
-  Response resp;
   const SearchLimits limits = LimitsFor(request);
+  Response resp;
+  if (request.kind == RequestKind::kAnswerable ||
+      request.kind == RequestKind::kEquiv) {
+    resp = Answer(request, limits);
+  } else {
+    resp = Execute(request, limits);
+    if (ClearsAnswerMemo(request.kind)) workspace_->answer_memo().Clear();
+  }
+
+  // The historical --engine-stats contract: the snapshot is rendered
+  // after the command output (even for failed commands), so in a one-shot
+  // run it describes exactly the command that just executed. kStats IS
+  // the snapshot, so it never double-appends.
+  if (request.engine_stats && request.kind != RequestKind::kStats) {
+    resp.engine_stats = workspace_->EngineStatsSnapshot();
+    resp.has_engine_stats = true;
+    resp.output += StrCat("\n", RenderEngineStats(resp.engine_stats));
+    if (auto index = workspace_->IndexStatsSnapshot()) {
+      resp.index_stats = *index;
+      resp.has_index_stats = true;
+      resp.output += StrCat("\n", RenderIndexStats(resp.index_stats));
+    }
+  }
+  return resp;
+}
+
+Response Dispatcher::Answer(const Request& request,
+                            const SearchLimits& limits) {
+  AnswerMemo& memo = workspace_->answer_memo();
+  std::string key = AnswerKey(request, limits);
+  std::uint64_t generation = 0;
+  Response resp;
+  if (std::optional<AnswerMemo::Answer> hit = memo.Lookup(key, &generation)) {
+    resp.output = std::move(hit->output);
+    resp.verdict = hit->verdict;
+    resp.inconclusive = hit->inconclusive;
+    resp.exit_code = hit->exit_code;
+    resp.witness = std::move(hit->witness);
+    return resp;
+  }
+  resp = Execute(request, limits);
+  if (resp.ok()) {
+    memo.Store(std::move(key),
+               AnswerMemo::Answer{resp.output, resp.verdict,
+                                  resp.inconclusive, resp.exit_code,
+                                  resp.witness},
+               generation);
+  }
+  return resp;
+}
+
+Response Dispatcher::Execute(const Request& request,
+                             const SearchLimits& limits) {
+  Response resp;
   std::string report;
   switch (request.kind) {
     case RequestKind::kLoad: {
@@ -248,6 +345,7 @@ Response Dispatcher::Handle(const Request& request) {
       });
       break;
     case RequestKind::kStats:
+      resp.answer_memo = workspace_->answer_memo().Stats();
       resp.engine_stats = workspace_->EngineStatsSnapshot();
       resp.has_engine_stats = true;
       resp.output = RenderEngineStats(resp.engine_stats);
@@ -258,22 +356,7 @@ Response Dispatcher::Handle(const Request& request) {
       }
       break;
     case RequestKind::kLint:
-      break;  // Handled above.
-  }
-
-  // The historical --engine-stats contract: the snapshot is rendered
-  // after the command output (even for failed commands), so in a one-shot
-  // run it describes exactly the command that just executed. kStats IS
-  // the snapshot, so it never double-appends.
-  if (request.engine_stats && request.kind != RequestKind::kStats) {
-    resp.engine_stats = workspace_->EngineStatsSnapshot();
-    resp.has_engine_stats = true;
-    resp.output += StrCat("\n", RenderEngineStats(resp.engine_stats));
-    if (auto index = workspace_->IndexStatsSnapshot()) {
-      resp.index_stats = *index;
-      resp.has_index_stats = true;
-      resp.output += StrCat("\n", RenderIndexStats(resp.index_stats));
-    }
+      break;  // Handled by HandleLint.
   }
   return resp;
 }

@@ -155,6 +155,9 @@ struct Response {
   bool has_engine_stats = false;
   EngineStats engine_stats;
 
+  /// Answer-memo counters (kStats only).
+  std::optional<AnswerMemoStats> answer_memo;
+
   /// Serving counters of the attached persistent capacity index. Only
   /// populated alongside engine_stats and only when the workspace has an
   /// index attached, so index-less deployments render byte-identically to
@@ -177,6 +180,13 @@ class Dispatcher {
  private:
   /// Request limits = workspace defaults + per-request overrides.
   SearchLimits LimitsFor(const Request& request) const;
+
+  /// answerable/equiv: the workspace's answer memo, else Execute (whose
+  /// successful answer is then stored).
+  Response Answer(const Request& request, const SearchLimits& limits);
+
+  /// Runs every kind but lint against the workspace.
+  Response Execute(const Request& request, const SearchLimits& limits);
 
   Response HandleLint(const Request& request) const;
 

@@ -388,6 +388,16 @@ JsonValue ResponseToJson(const Response& response, RequestKind kind) {
   if (response.has_index_stats) {
     result.Set("index", IndexStatsToJson(response.index_stats));
   }
+  if (response.answer_memo.has_value()) {
+    JsonValue memo = JsonValue::Object();
+    memo.Set("hits", JsonValue::Number(
+                         static_cast<double>(response.answer_memo->hits)));
+    memo.Set("misses", JsonValue::Number(
+                           static_cast<double>(response.answer_memo->misses)));
+    memo.Set("entries", JsonValue::Number(static_cast<double>(
+                            response.answer_memo->entries)));
+    result.Set("answer_memo", std::move(memo));
+  }
   return result;
 }
 

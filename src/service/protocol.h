@@ -17,7 +17,8 @@
 // nonredundant, simplify, lattice, minimize, capacity, eval, compose,
 // report (alias analyze), lint, stats — plus the server-level "ping" and
 // "shutdown". The "stats" reply carries the live engine snapshot
-// (Engine::StatsSnapshot) plus uptime/request/session counters.
+// (Engine::StatsSnapshot), the answer memo's hits/misses/entries
+// (service/workspace.h) and uptime/request/session counters.
 //
 // Every analysis reply's "output" field is byte-identical to the one-shot
 // CLI's stdout for the same command: both front ends share the

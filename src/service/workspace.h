@@ -29,16 +29,34 @@
 // regardless of interleaving: the engine's compute-once caches make every
 // verdict a function of the request, not of thread timing (PR 5's
 // determinism guarantee), which the concurrent-session tests pin.
+//
+// Answer memo. Once a view is registered it is never replaced, so the
+// answer to an `answerable` or `equiv` question is a function of the
+// question alone: method, view names, query text and the limits that
+// enter verdict keys (threads is not one of them). The Workspace keeps
+// those rendered answers in an AnswerMemo with its own mutex, and a
+// repeated question is answered from it without taking the workspace
+// lock — no parse, no Algorithm 2.1.1, no oracle set-up, no engine
+// probe. Daemon engine counters therefore stop growing on repeated
+// questions; the memo's own hits/misses/entries show in `stats`. Only
+// successful answers are stored, so a question about a view that is not
+// loaded yet is answered afresh once it is. Every request that can change
+// the catalog or the view map (load, nonredundant, simplify, compose,
+// report, capacity, minimize, eval, index attach) clears the memo. That is
+// belt and braces — none of them can change a stored answer — and a store
+// racing a clear is dropped, so the memo never outlives a clear.
 #ifndef VIEWCAP_SERVICE_WORKSPACE_H_
 #define VIEWCAP_SERVICE_WORKSPACE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "core/analyzer.h"
@@ -46,6 +64,71 @@
 #include "index/index_writer.h"
 
 namespace viewcap {
+
+/// Counters of an AnswerMemo, as the daemon's `stats` reports them.
+struct AnswerMemoStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::size_t entries = 0;
+};
+
+/// Rendered answers of repeated questions, keyed by a string that spells
+/// out the whole question (see the file comment). Thread-safe; bounded by
+/// an entry cap past which answers are computed and not stored.
+class AnswerMemo {
+ public:
+  static constexpr std::size_t kMaxEntries = 1 << 14;
+
+  /// The response fields of one answer.
+  struct Answer {
+    std::string output;
+    std::optional<bool> verdict;
+    bool inconclusive = false;
+    int exit_code = 0;
+    std::string witness;
+  };
+
+  /// The answer stored under `key`, counting a hit or a miss. On a miss
+  /// `*generation` receives the clear count to hand to Store.
+  std::optional<Answer> Lookup(const std::string& key,
+                               std::uint64_t* generation) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = answers_.find(key);
+    if (it == answers_.end()) {
+      ++misses_;
+      *generation = generation_;
+      return std::nullopt;
+    }
+    ++hits_;
+    return it->second;
+  }
+
+  /// Stores `answer` unless the memo is full or was cleared since the
+  /// Lookup that returned `generation`.
+  void Store(std::string key, Answer answer, std::uint64_t generation) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (generation != generation_ || answers_.size() >= kMaxEntries) return;
+    answers_.emplace(std::move(key), std::move(answer));
+  }
+
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    answers_.clear();
+    ++generation_;
+  }
+
+  AnswerMemoStats Stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return AnswerMemoStats{hits_, misses_, answers_.size()};
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, Answer> answers_;
+  std::uint64_t generation_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
 
 class Workspace {
  public:
@@ -66,7 +149,9 @@ class Workspace {
   /// view name fails the load and leaves earlier state intact.
   Status Load(std::string_view program_text) {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    return analyzer_.Load(program_text);
+    Status status = analyzer_.Load(program_text);
+    answers_.Clear();
+    return status;
   }
 
   /// Runs `fn(analyzer)` under the shared (reader) lock. `fn` must follow
@@ -97,6 +182,7 @@ class Workspace {
                              IndexReader::Open(path, &analyzer_.catalog()));
     index_ = std::move(reader);
     analyzer_.engine().AttachIndex(index_.get());
+    answers_.Clear();
     return Status::OK();
   }
 
@@ -126,6 +212,10 @@ class Workspace {
     return analyzer_.engine_stats();
   }
 
+  /// Answers of repeated answerable/equiv questions; used without the
+  /// workspace lock (see the file comment).
+  AnswerMemo& answer_memo() { return answers_; }
+
   /// Served-request counter for the daemon's `stats` method. Counted once
   /// per dispatched request, including failed ones.
   void CountRequest() {
@@ -142,6 +232,7 @@ class Workspace {
   /// Attached persistent capacity index; must outlive its attachment to
   /// the engine, so it is owned here next to the analyzer.
   std::unique_ptr<IndexReader> index_;
+  AnswerMemo answers_;
   std::atomic<std::uint64_t> requests_{0};
 };
 

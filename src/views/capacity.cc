@@ -195,6 +195,22 @@ Result<std::optional<ExprPtr>> TryCanonicalWitness(
   return std::optional<ExprPtr>();
 }
 
+/// True when every relation `query`'s rows name also occurs in some
+/// member query.
+bool MembersCoverRelations(const QuerySet& set, const Tableau& query) {
+  std::vector<RelId> member_rels;
+  for (const QuerySet::Member& m : set.members()) {
+    for (const TaggedTuple& row : m.query.rows()) member_rels.push_back(row.rel);
+  }
+  std::sort(member_rels.begin(), member_rels.end());
+  for (RelId rel : query.RelNames()) {
+    if (!std::binary_search(member_rels.begin(), member_rels.end(), rel)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<MembershipResult> CapacityOracle::Contains(const Tableau& query) const {
@@ -235,6 +251,15 @@ Result<MembershipResult> CapacityOracle::Contains(const Tableau& query) const {
   result.leaf_budget =
       std::min(limits_.max_leaves,
                reduced_query.size() + limits_.extra_leaves);
+
+  // Every expansion has rows only over relations the members mention, and
+  // homomorphisms map each row to a row of the same relation. A query
+  // naming any other relation is therefore equivalent to no expansion:
+  // not a member, by proof rather than by budget.
+  if (!MembersCoverRelations(set_, reduced_query)) {
+    engine_->StoreVerdict(verdict_key, result);
+    return result;
+  }
 
   const TemplateAssignment beta = set_.AsAssignment();
 

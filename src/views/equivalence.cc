@@ -32,27 +32,33 @@ std::string DominanceKeyFor(const View& v, const View& w,
   return key;
 }
 
-Result<DominanceResult> Dominates(Engine& engine, const View& v,
-                                  const View& w, SearchLimits limits) {
-  if (v.universe() != w.universe()) {
-    return Status::IllFormed(
-        "views are not over the same underlying universe");
+namespace {
+
+/// The cached answer for `key`: the in-memory dominance cache first, then
+/// the attached persistent index, which answers by the same
+/// process-independent key. An index hit is promoted into the in-memory
+/// cache so the next repeat is a pure memory lookup.
+std::optional<DominanceResult> ProbeDominance(Engine& engine,
+                                              const std::string& key) {
+  if (std::optional<DominanceResult> cached = engine.LookupDominance(key)) {
+    return cached;
   }
-  const std::string dominance_key = DominanceKeyFor(v, w, limits);
-  if (std::optional<DominanceResult> cached =
-          engine.LookupDominance(dominance_key)) {
-    return *std::move(cached);
-  }
-  // A persistent index answers by the same process-independent key; a hit
-  // is promoted into the in-memory dominance cache so the next repeat is
-  // a pure memory lookup.
   if (VerdictIndex* index = engine.attached_index()) {
     if (std::optional<DominanceResult> hit =
-            index->LookupDominance(engine, dominance_key)) {
-      engine.StoreDominance(dominance_key, *hit);
-      return *std::move(hit);
+            index->LookupDominance(engine, key)) {
+      engine.StoreDominance(key, *hit);
+      return hit;
     }
   }
+  return std::nullopt;
+}
+
+/// The Lemma 1.5.4 search behind a ProbeDominance miss; stores its answer
+/// under `key`.
+Result<DominanceResult> ComputeDominance(Engine& engine, const View& v,
+                                         const View& w,
+                                         const SearchLimits& limits,
+                                         const std::string& key) {
   CapacityOracle oracle(&engine, v, limits);
   DominanceResult result;
   result.dominates = true;
@@ -69,8 +75,23 @@ Result<DominanceResult> Dominates(Engine& engine, const View& v,
       if (membership.budget_exhausted) result.inconclusive = true;
     }
   }
-  engine.StoreDominance(dominance_key, result);
+  engine.StoreDominance(key, result);
   return result;
+}
+
+}  // namespace
+
+Result<DominanceResult> Dominates(Engine& engine, const View& v,
+                                  const View& w, SearchLimits limits) {
+  if (v.universe() != w.universe()) {
+    return Status::IllFormed(
+        "views are not over the same underlying universe");
+  }
+  const std::string key = DominanceKeyFor(v, w, limits);
+  if (std::optional<DominanceResult> cached = ProbeDominance(engine, key)) {
+    return *std::move(cached);
+  }
+  return ComputeDominance(engine, v, w, limits, key);
 }
 
 Result<DominanceResult> Dominates(const View& v, const View& w,
@@ -81,26 +102,43 @@ Result<DominanceResult> Dominates(const View& v, const View& w,
 
 Result<EquivalenceResult> AreEquivalent(Engine& engine, const View& v,
                                         const View& w, SearchLimits limits) {
-  EquivalenceResult result;
-  const std::size_t threads = ThreadPool::DecideThreads(limits.threads);
-  if (threads == 1) {
-    VIEWCAP_ASSIGN_OR_RETURN(result.v_over_w,
-                             Dominates(engine, v, w, limits));
-    VIEWCAP_ASSIGN_OR_RETURN(result.w_over_v,
-                             Dominates(engine, w, v, limits));
-  } else {
-    // Both dominance directions run concurrently over the shared engine;
-    // each direction's membership searches shard further over the same
-    // pool. Both are always computed in full (as in the serial path), so
-    // the combined verdict is order-independent.
-    std::optional<Result<DominanceResult>> directions[2];
-    ParallelFor(engine.SharedPool(threads), threads, 2, [&](std::size_t i) {
-      directions[i] = i == 0 ? Dominates(engine, v, w, limits)
-                             : Dominates(engine, w, v, limits);
-    });
-    VIEWCAP_ASSIGN_OR_RETURN(result.v_over_w, *std::move(directions[0]));
-    VIEWCAP_ASSIGN_OR_RETURN(result.w_over_v, *std::move(directions[1]));
+  if (v.universe() != w.universe()) {
+    return Status::IllFormed(
+        "views are not over the same underlying universe");
   }
+  // Both directions probe the caches before any search, so a warm repeat
+  // never enters the thread pool. A view compared with itself has one key
+  // for both directions: the second probe follows the first search, as
+  // in a serial Dominates pair.
+  const View* from[2] = {&v, &w};
+  const View* to[2] = {&w, &v};
+  const std::string keys[2] = {DominanceKeyFor(v, w, limits),
+                               DominanceKeyFor(w, v, limits)};
+  std::optional<Result<DominanceResult>> directions[2];
+  directions[0] = ProbeDominance(engine, keys[0]);
+  const bool same_key = keys[1] == keys[0];
+  if (!same_key) directions[1] = ProbeDominance(engine, keys[1]);
+
+  const auto compute = [&](std::size_t i) {
+    directions[i] = ComputeDominance(engine, *from[i], *to[i], limits, keys[i]);
+  };
+  const std::size_t threads = ThreadPool::DecideThreads(limits.threads);
+  if (!directions[0].has_value() && !same_key &&
+      !directions[1].has_value() && threads > 1) {
+    // Both directions search concurrently over the shared engine; each
+    // direction's membership searches shard further over the same pool.
+    // Both are always computed in full (as in the serial path), so the
+    // combined verdict is order-independent.
+    ParallelFor(engine.SharedPool(threads), threads, 2, compute);
+  } else {
+    if (!directions[0].has_value()) compute(0);
+    if (same_key) directions[1] = ProbeDominance(engine, keys[1]);
+    if (!directions[1].has_value()) compute(1);
+  }
+
+  EquivalenceResult result;
+  VIEWCAP_ASSIGN_OR_RETURN(result.v_over_w, *std::move(directions[0]));
+  VIEWCAP_ASSIGN_OR_RETURN(result.w_over_v, *std::move(directions[1]));
   result.equivalent =
       result.v_over_w.dominates && result.w_over_v.dominates;
   result.inconclusive =

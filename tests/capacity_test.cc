@@ -127,6 +127,43 @@ TEST_F(CapacityTest, BudgetExhaustionIsReported) {
   EXPECT_TRUE(m.budget_exhausted);
 }
 
+// A query naming a base relation no member mentions is never in the
+// closure: homomorphisms preserve row relations and every expansion has
+// rows only over member relations. The oracle proves that without a
+// search, even for a 4-leaf query and a budget that could not finish one.
+TEST(CapacityForeignRelationTest, ForeignRelationQueryIsProvenNonMember) {
+  Catalog catalog;
+  RelId r1 = Unwrap(catalog.AddRelation("r1", catalog.MakeScheme({"A", "B"})));
+  RelId r2 = Unwrap(catalog.AddRelation("r2", catalog.MakeScheme({"B", "C"})));
+  RelId r3 = Unwrap(catalog.AddRelation("r3", catalog.MakeScheme({"C", "D"})));
+  DbSchema base(catalog, {r1, r2, r3});
+  RelId v1 = Unwrap(catalog.AddRelation("v1", catalog.MakeScheme({"A", "B"})));
+  RelId v2 = Unwrap(catalog.AddRelation("v2", catalog.MakeScheme({"B"})));
+  View view = Unwrap(View::Create(&catalog, base,
+                                  {{v1, MustParse(catalog, "r1")},
+                                   {v2, MustParse(catalog, "pi{B}(r2)")}},
+                                  "V"));
+  SearchLimits limits;
+  limits.max_candidates = 1;
+  Engine engine(&catalog);
+  CapacityOracle oracle(&engine, view, limits);
+  const Tableau query = MustBuildTableau(
+      catalog, view.universe(),
+      *MustParse(catalog, "((r1 * r2) * r3) * pi{A,B}(r1)"));
+  MembershipResult m = Unwrap(oracle.Contains(query));
+  EXPECT_FALSE(m.member);
+  EXPECT_FALSE(m.budget_exhausted);
+  EXPECT_EQ(m.candidates_tried, 0u);
+
+  // The proof is stored like any verdict: a repeat is a cache hit.
+  MembershipResult again = Unwrap(oracle.Contains(query));
+  EXPECT_FALSE(again.member);
+  EXPECT_FALSE(again.budget_exhausted);
+  const EngineStats stats = engine.StatsSnapshot();
+  EXPECT_EQ(stats.verdict.requests, 2u);
+  EXPECT_EQ(stats.verdict.runs, 1u);
+}
+
 TEST_F(CapacityTest, LeafBudgetFollowsReducedQuerySize) {
   CapacityOracle oracle(*view_);
   MembershipResult m =

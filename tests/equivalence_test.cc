@@ -103,6 +103,36 @@ TEST_F(Example315Test, DominanceRequiresSharedUniverse) {
   EXPECT_EQ(Dominates(*v_, foreign).status().code(), StatusCode::kIllFormed);
 }
 
+// A fully cached equivalence probes both dominance directions before any
+// search, so at threads=4 it never creates (and so never enters) the
+// shared pool. The reversed question hits both directions.
+TEST_F(Example315Test, CachedEquivalenceSkipsThePool) {
+  SearchLimits serial;
+  SearchLimits parallel;
+  parallel.threads = 4;
+  Engine engine(&catalog_);
+  const EquivalenceResult cold =
+      Unwrap(AreEquivalent(engine, *v_, *w_, serial));
+  const EngineStats before = engine.StatsSnapshot();
+  for (const auto& [left, right] : {std::pair{&*v_, &*w_},
+                                    std::pair{&*w_, &*v_}}) {
+    const EquivalenceResult warm =
+        Unwrap(AreEquivalent(engine, *left, *right, parallel));
+    EXPECT_EQ(warm.equivalent, cold.equivalent);
+    EXPECT_EQ(warm.inconclusive, cold.inconclusive);
+  }
+  EXPECT_EQ(engine.SharedPoolIfCreated(), nullptr);
+  const EngineStats after = engine.StatsSnapshot();
+  EXPECT_EQ(after.dominance.requests, before.dominance.requests + 4);
+  EXPECT_EQ(after.dominance.runs, before.dominance.runs);
+  EXPECT_EQ(after.verdict.requests, before.verdict.requests);
+
+  // Cold at threads=4, the two directions do fan out over the pool.
+  Engine fresh(&catalog_);
+  ASSERT_TRUE(Unwrap(AreEquivalent(fresh, *v_, *w_, parallel)).equivalent);
+  EXPECT_NE(fresh.SharedPoolIfCreated(), nullptr);
+}
+
 // Transitivity check on a chain of three pairwise-equivalent views.
 TEST_F(Example315Test, EquivalenceIsTransitiveOnChain) {
   RelId m1 = Unwrap(catalog_.AddRelation("m1", catalog_.MakeScheme({"A", "B"})));

@@ -165,6 +165,49 @@ TEST(ServiceConcurrentTest, ConcurrentLoadsAndReadsStaySafe) {
   EXPECT_NE(views.find("Extra_1_3"), std::string::npos);
 }
 
+TEST(ServiceConcurrentTest, AnswerMemoHitsRaceLoads) {
+  Workspace workspace;
+  VIEWCAP_ASSERT_OK(workspace.Load(kProgram));
+  Dispatcher dispatcher(&workspace);
+  const std::vector<Request> workload = SessionWorkload(2);
+  // The first pass fills the memo; the readers below repeat it, so their
+  // answers come from the memo while loads clear it under them.
+  const std::vector<Response> baseline = RunWorkload(dispatcher, workload);
+
+  std::vector<std::thread> threads;
+  std::vector<int> reader_failures(4, 0);
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 8; ++i) {
+        const std::vector<Response> again = RunWorkload(dispatcher, workload);
+        for (std::size_t r = 0; r < baseline.size(); ++r) {
+          // list and lattice grow with the loads; the answers must not.
+          if (workload[r].kind == RequestKind::kList ||
+              workload[r].kind == RequestKind::kLattice) {
+            continue;
+          }
+          if (again[r].output != baseline[r].output ||
+              again[r].verdict != baseline[r].verdict ||
+              again[r].witness != baseline[r].witness ||
+              again[r].exit_code != baseline[r].exit_code) {
+            ++reader_failures[t];
+          }
+        }
+      }
+    });
+  }
+  threads.emplace_back([&workspace] {
+    for (int i = 0; i < 4; ++i) {
+      const std::string name = "Memo_" + std::to_string(i);
+      VIEWCAP_EXPECT_OK(workspace.Load(
+          "view " + name + " { m" + std::to_string(i) + " := pi{B,C}(r); }"));
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  for (int failures : reader_failures) EXPECT_EQ(failures, 0);
+  EXPECT_GT(workspace.answer_memo().Stats().hits, 0u);
+}
+
 TEST(ServiceConcurrentTest, ConcurrentProtocolSessionsShareServerStats) {
   Workspace workspace;
   VIEWCAP_ASSERT_OK(workspace.Load(kProgram));

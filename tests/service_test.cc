@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "base/strings.h"
+#include "core/report.h"
 #include "service/cli.h"
 #include "service/dispatcher.h"
 #include "service/json.h"
@@ -342,6 +344,144 @@ TEST_F(ServiceDispatchTest, PerRequestThreadsKeepVerdictsIdentical) {
   }
 }
 
+// --- Answer memo --------------------------------------------------------
+
+void ExpectSameAnswer(const Response& a, const Response& b) {
+  EXPECT_EQ(a.output, b.output);
+  EXPECT_EQ(a.verdict, b.verdict);
+  EXPECT_EQ(a.witness, b.witness);
+  EXPECT_EQ(a.exit_code, b.exit_code);
+  EXPECT_EQ(a.inconclusive, b.inconclusive);
+}
+
+TEST_F(ServiceDispatchTest, AnswerMemoRepeatsAreByteIdentical) {
+  Request member;
+  member.kind = RequestKind::kAnswerable;
+  member.view = "W";
+  member.query = "pi{A,C}(pi{A,B}(r) * pi{B,C}(r))";
+  Request negative = member;
+  negative.query = "r";
+  Request eq;
+  eq.kind = RequestKind::kEquiv;
+  eq.view = "V";
+  eq.other_view = "W";
+  Request narrow = member;
+  narrow.max_candidates = 1;  // An inconclusive negative is stored too.
+  narrow.query = "pi{A,C}(r)";
+
+  for (const Request& request : {member, negative, eq, narrow}) {
+    const Response first = Run(request);
+    ASSERT_TRUE(first.ok());
+    const EngineStats before = workspace_.EngineStatsSnapshot();
+    const AnswerMemoStats memo = workspace_.answer_memo().Stats();
+    const Response second = Run(request);
+    ExpectSameAnswer(first, second);
+    // The repeat never reached the engine.
+    const EngineStats after = workspace_.EngineStatsSnapshot();
+    EXPECT_EQ(after.verdict.requests, before.verdict.requests);
+    EXPECT_EQ(after.dominance.requests, before.dominance.requests);
+    EXPECT_EQ(workspace_.answer_memo().Stats().hits, memo.hits + 1);
+  }
+  EXPECT_TRUE(Run(narrow).inconclusive);
+  EXPECT_FALSE(Run(member).witness.empty());
+}
+
+TEST_F(ServiceDispatchTest, AnswerMemoNeverStoresErrors) {
+  Request member;
+  member.kind = RequestKind::kAnswerable;
+  member.view = "Late";
+  member.query = "pi{A,B}(r)";
+  Request eq;
+  eq.kind = RequestKind::kEquiv;
+  eq.view = "W";
+  eq.other_view = "Late";
+  EXPECT_EQ(Run(member).status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(Run(eq).status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(workspace_.answer_memo().Stats().entries, 0u);
+
+  Request load;
+  load.kind = RequestKind::kLoad;
+  load.program_text = "view Late { l1 := pi{A,B}(r); l2 := pi{B,C}(r); }";
+  ASSERT_TRUE(Run(load).ok());
+  Response r = Run(member);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.verdict, true);
+  r = Run(eq);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.verdict, true);
+}
+
+TEST_F(ServiceDispatchTest, AnswerMemoKeyHasLimitsButNotThreads) {
+  Request member;
+  member.kind = RequestKind::kAnswerable;
+  member.view = "W";
+  member.query = "pi{A,B}(r)";
+  member.threads = 1;
+  const Response first = Run(member);
+  member.threads = 4;
+  ExpectSameAnswer(Run(member), first);
+  AnswerMemoStats memo = workspace_.answer_memo().Stats();
+  EXPECT_EQ(memo.hits, 1u);
+  EXPECT_EQ(memo.misses, 1u);
+  EXPECT_EQ(memo.entries, 1u);
+
+  member.max_candidates = 1000;
+  ExpectSameAnswer(Run(member), first);
+  memo = workspace_.answer_memo().Stats();
+  EXPECT_EQ(memo.hits, 1u);
+  EXPECT_EQ(memo.misses, 2u);
+  EXPECT_EQ(memo.entries, 2u);
+
+  // Query text is taken as sent: other whitespace is another question.
+  member.query = "pi{A,B}( r )";
+  ExpectSameAnswer(Run(member), first);
+  EXPECT_EQ(workspace_.answer_memo().Stats().entries, 3u);
+}
+
+TEST_F(ServiceDispatchTest, AnswerMemoHitAppendsFreshEngineStats) {
+  Request eq;
+  eq.kind = RequestKind::kEquiv;
+  eq.view = "V";
+  eq.other_view = "W";
+  const Response plain = Run(eq);
+  // Other engine work between the two, so a stale snapshot would show.
+  Request member;
+  member.kind = RequestKind::kAnswerable;
+  member.view = "W";
+  member.query = "pi{A,C}(r)";
+  ASSERT_TRUE(Run(member).ok());
+
+  eq.engine_stats = true;
+  const Response r = Run(eq);
+  EXPECT_EQ(workspace_.answer_memo().Stats().hits, 1u);
+  ASSERT_TRUE(r.has_engine_stats);
+  const EngineStats now = workspace_.EngineStatsSnapshot();
+  EXPECT_EQ(r.engine_stats.verdict.requests, now.verdict.requests);
+  EXPECT_EQ(r.engine_stats.interned_classes, now.interned_classes);
+  EXPECT_EQ(r.output,
+            StrCat(plain.output, "\n", RenderEngineStats(r.engine_stats)));
+}
+
+TEST_F(ServiceDispatchTest, MutatingRequestsClearAnswerMemo) {
+  Request member;
+  member.kind = RequestKind::kAnswerable;
+  member.view = "W";
+  member.query = "pi{A,B}(r)";
+  Request nr;
+  nr.kind = RequestKind::kNonredundant;
+  nr.view = "W";
+  Request list;
+  list.kind = RequestKind::kList;
+  for (const Request& request : {list, nr}) {
+    ASSERT_TRUE(Run(member).ok());
+    EXPECT_EQ(workspace_.answer_memo().Stats().entries, 1u);
+    ASSERT_TRUE(Run(request).ok());
+    // A read keeps the memo; a request that registers a view clears it.
+    EXPECT_EQ(workspace_.answer_memo().Stats().entries,
+              request.kind == RequestKind::kList ? 1u : 0u);
+  }
+}
+
 // --- Protocol round trip ------------------------------------------------
 
 TEST(ServiceProtocolTest, EveryKindSurvivesJsonRoundTrip) {
@@ -479,6 +619,9 @@ TEST(ServiceProtocolTest, SessionServesRequestsAndShutdown) {
   request_lines
       << R"({"id":2,"method":"equiv","params":{"left":"V","right":"W"}})"
       << "\n";
+  request_lines
+      << R"({"id":2,"method":"equiv","params":{"left":"V","right":"W"}})"
+      << "\n";
   request_lines << R"({"id":3,"method":"ping"})" << "\n";
   request_lines << R"(this is not json)" << "\n";
   request_lines << R"({"id":4,"method":"stats"})" << "\n";
@@ -495,16 +638,21 @@ TEST(ServiceProtocolTest, SessionServesRequestsAndShutdown) {
   for (std::string line; std::getline(reply_stream, line);) {
     replies.push_back(line);
   }
-  ASSERT_EQ(replies.size(), 6u);  // Request 6 was never served.
+  ASSERT_EQ(replies.size(), 7u);  // Request 6 was never served.
   EXPECT_NE(replies[0].find("\"id\":1"), std::string::npos);
   EXPECT_NE(replies[1].find("\"verdict\":true"), std::string::npos);
   EXPECT_NE(replies[1].find("equivalent(V, W) = true"), std::string::npos);
-  EXPECT_NE(replies[2].find("\"result\":{\"ok\":true}"), std::string::npos);
-  EXPECT_NE(replies[3].find("\"error\""), std::string::npos);
-  EXPECT_NE(replies[4].find("\"uptime_seconds\""), std::string::npos);
-  EXPECT_NE(replies[4].find("\"engine_stats\""), std::string::npos);
-  EXPECT_NE(replies[5].find("\"shutting_down\":true"), std::string::npos);
-  EXPECT_EQ(stats.requests.load(), 6u);
+  // The repeated question is answered from the memo, byte for byte.
+  EXPECT_EQ(replies[2], replies[1]);
+  EXPECT_NE(replies[3].find("\"result\":{\"ok\":true}"), std::string::npos);
+  EXPECT_NE(replies[4].find("\"error\""), std::string::npos);
+  EXPECT_NE(replies[5].find("\"uptime_seconds\""), std::string::npos);
+  EXPECT_NE(replies[5].find("\"engine_stats\""), std::string::npos);
+  EXPECT_NE(replies[5].find(
+                "\"answer_memo\":{\"hits\":1,\"misses\":1,\"entries\":1}"),
+            std::string::npos);
+  EXPECT_NE(replies[6].find("\"shutting_down\":true"), std::string::npos);
+  EXPECT_EQ(stats.requests.load(), 7u);
   EXPECT_EQ(stats.sessions.load(), 1u);
 }
 
